@@ -7,30 +7,55 @@
 # the commit message. golden_plan_test failing without a planner
 # change means a regression, not a stale fixture.
 #
+# Every fixture is refreshed the same way: each GoldenPlan case of
+# golden_plan_test writes the plan it computes to "<fixture>.actual"
+# in its working directory whenever that plan differs from the
+# committed fixture (or the fixture is missing), and this script
+# copies those files over tests/fixtures/. The configurations live
+# only in tests/golden_plan_test.cpp:
+#
+#   gpt3_175b_adapipe_plan.json             makePlan(AdaPipe),
+#       GPT-3 175B, cluster A 8 nodes, t8 p8 d1, seq 16384, gb 32
+#   llama2_70b_adapipe_plan.json            makePlan(AdaPipe),
+#       Llama 2 70B, cluster A 8 nodes, t4 p8 d2, seq 4096, gb 64
+#   gpt3_175b_gb8_adapipe_v2_plan.json      makeInterleavedPlan(AdaPipe, v=2)
+#   gpt3_175b_gb8_adapipe_overlap_plan.json makeOverlapPlan(AdaPipe, v=1)
+#   gpt3_175b_gb8_even_plan.json            makePlan(EvenPartition)
+#   gpt3_175b_gb8_dapple_full_plan.json     makePlan(DappleFull)
+#       (the gb8 fixtures: GPT-3 175B, cluster A 8 nodes, t8 p8 d1,
+#        seq 16384, gb 8)
+#
 # Usage: scripts/update_golden_plans.sh [build-dir]
 
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$repo/build}"
-export_plan="$build/examples/export_plan"
+golden_test="$build/tests/golden_plan_test"
 fixtures="$repo/tests/fixtures"
 
-if [[ ! -x "$export_plan" ]]; then
-    echo "error: $export_plan not built (cmake --build $build)" >&2
+if [[ ! -x "$golden_test" ]]; then
+    echo "error: $golden_test not built (cmake --build $build)" >&2
     exit 1
 fi
 
-# Keep these configurations in lockstep with golden_plan_test.cpp.
-"$export_plan" --model gpt3 --seq 16384 --nodes 8 \
-    --tensor 8 --pipeline 8 --data 1 --global-batch 32 \
-    --method adapipe \
-    --plan-out "$fixtures/gpt3_175b_adapipe_plan.json"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
 
-"$export_plan" --model llama2 --seq 4096 --nodes 8 \
-    --tensor 4 --pipeline 8 --data 2 --global-batch 64 \
-    --method adapipe \
-    --plan-out "$fixtures/llama2_70b_adapipe_plan.json"
+# The cases whose plan changed fail; that is expected here.
+(cd "$work" && "$golden_test" --gtest_filter='GoldenPlan.*' \
+    > "$work/log.txt" 2>&1) || true
+
+shopt -s nullglob
+actual=("$work"/*.actual)
+if [[ ${#actual[@]} -eq 0 ]]; then
+    echo "all fixtures in $fixtures already match the planner"
+    exit 0
+fi
+for f in "${actual[@]}"; do
+    name="$(basename "$f" .actual)"
+    cp "$f" "$fixtures/$name"
+done
 
 echo "updated fixtures in $fixtures:"
 git -C "$repo" status --short tests/fixtures || true

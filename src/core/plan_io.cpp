@@ -105,7 +105,10 @@ planFromReader(const JsonReader &root)
         const JsonReader mask = stage.key("saved_mask");
         for (std::size_t b = 0; b < mask.size(); ++b)
             sp.savedMask.push_back(mask.at(b).asBool());
-        if (static_cast<int>(sp.savedMask.size()) != sp.totalUnits)
+        // The DAPPLE baselines' uniform policies carry no mask (the
+        // runtime maps them by method); any other mask is complete.
+        if (!sp.savedMask.empty() &&
+            static_cast<int>(sp.savedMask.size()) != sp.totalUnits)
             mask.fail("length " +
                       std::to_string(sp.savedMask.size()) +
                       " does not match total_units " +
