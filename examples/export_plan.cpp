@@ -39,8 +39,7 @@ main(int argc, char **argv)
     cli.addInt("pipeline", 8, "pipeline-parallel size");
     cli.addInt("data", 1, "data-parallel size");
     cli.addInt("global-batch", 32, "global batch size");
-    cli.addString("method", "adapipe",
-                  "adapipe|even|dapple-full|dapple-non");
+    cli.addString("method", "adapipe", planMethodWireNames());
     cli.addString("profile", "",
                   "measured unit-profile table JSON (hw/profile_io)");
     cli.addString("plan-out", "plan.json", "plan JSON output path");
@@ -69,23 +68,16 @@ main(int argc, char **argv)
         return 1;
     }
 
-    PlanMethod method;
     const std::string method_name = cli.getString("method");
-    if (method_name == "adapipe") {
-        method = PlanMethod::AdaPipe;
-    } else if (method_name == "even") {
-        method = PlanMethod::EvenPartition;
-    } else if (method_name == "dapple-full") {
-        method = PlanMethod::DappleFull;
-    } else if (method_name == "dapple-non") {
-        method = PlanMethod::DappleNon;
-    } else {
+    const std::optional<PlanMethod> method_opt =
+        planMethodByName(method_name);
+    if (!method_opt) {
         std::cerr << "export_plan: error: unknown method '"
-                  << method_name
-                  << "' (expected adapipe|even|dapple-full|"
-                     "dapple-non)\n";
+                  << method_name << "' (expected "
+                  << planMethodWireNames() << ")\n";
         return 1;
     }
+    const PlanMethod method = *method_opt;
 
     TrainConfig train;
     train.seqLen = static_cast<int>(cli.getInt("seq"));
@@ -136,12 +128,10 @@ main(int argc, char **argv)
 
     const std::string trace_path = cli.getString("trace-out");
     if (!trace_path.empty()) {
-        std::vector<StageTimes> times;
-        for (const auto &sp : result.plan.stages)
-            times.push_back({sp.timeFwd, sp.timeBwd});
         const Schedule sched =
             build1F1B(par.pipeline, result.plan.microBatches);
-        const SimResult sim = simulate(sched, times, {});
+        const SimResult sim =
+            simulate(sched, planStageTimes(result.plan), {});
         const ParseStatus wrote =
             writeTextFile(trace_path, toChromeTrace(sched, sim) + "\n");
         if (!wrote.ok()) {

@@ -122,8 +122,8 @@ main(int argc, char **argv)
                 "(bit-identical losses)");
     cli.addString("plan", "", "exported plan JSON (export_plan)");
     cli.addString("method", "adapipe",
-                  "in-process planning method: adapipe|even|"
-                  "dapple-full|dapple-non|dapple-selective");
+                  "in-process planning method: " +
+                      planMethodWireNames());
     cli.addInt("mem-cap-mb", 0,
                "planner memory capacity override in MiB (forces "
                "recompute decisions; 0 = cluster default)");
@@ -213,25 +213,16 @@ main(int argc, char **argv)
         plan = loaded.value();
         have_plan = true;
     } else {
-        PlanMethod method;
         const std::string method_name = cli.getString("method");
-        if (method_name == "adapipe") {
-            method = PlanMethod::AdaPipe;
-        } else if (method_name == "even") {
-            method = PlanMethod::EvenPartition;
-        } else if (method_name == "dapple-full") {
-            method = PlanMethod::DappleFull;
-        } else if (method_name == "dapple-non") {
-            method = PlanMethod::DappleNon;
-        } else if (method_name == "dapple-selective") {
-            method = PlanMethod::DappleSelective;
-        } else {
+        const std::optional<PlanMethod> method_opt =
+            planMethodByName(method_name);
+        if (!method_opt) {
             std::cerr << "pipeline_training: error: unknown method '"
-                      << method_name
-                      << "' (expected adapipe|even|dapple-full|"
-                         "dapple-non|dapple-selective)\n";
+                      << method_name << "' (expected "
+                      << planMethodWireNames() << ")\n";
             return 1;
         }
+        const PlanMethod method = *method_opt;
 
         if (micro_batches == 0)
             micro_batches = 4;

@@ -15,6 +15,7 @@
 
 #include <iostream>
 
+#include "core/plan.h"
 #include "service/client.h"
 #include "util/cli.h"
 #include "util/json.h"
@@ -43,8 +44,7 @@ main(int argc, char **argv)
     cli.addInt("tensor", 4, "tensor-parallel size");
     cli.addInt("pipeline", 2, "pipeline-parallel size");
     cli.addInt("data", 1, "data-parallel size");
-    cli.addString("method", "adapipe",
-                  "adapipe|even|dapple-full|dapple-non");
+    cli.addString("method", "adapipe", planMethodWireNames());
     cli.addString("family", "1f1b",
                   "schedule family: 1f1b|interleaved|best");
     cli.addInt("virtual-stages", 2,

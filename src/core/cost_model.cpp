@@ -6,6 +6,16 @@
 
 namespace adapipe {
 
+std::vector<StageTimes>
+planStageTimes(const PipelinePlan &plan)
+{
+    std::vector<StageTimes> times;
+    times.reserve(plan.stages.size());
+    for (const StagePlan &sp : plan.stages)
+        times.push_back({sp.timeFwd, sp.timeBwd});
+    return times;
+}
+
 PipelineTiming
 evaluate1F1B(const std::vector<StageTimes> &stages, int n)
 {

@@ -34,6 +34,9 @@ struct StageTimes
     Seconds bwd = 0;
 };
 
+/** @return per-stage F/B times of @p plan, stage 0 first. */
+std::vector<StageTimes> planStageTimes(const PipelinePlan &plan);
+
 /**
  * Evaluate the 1F1B cost model for per-stage times @p stages and
  * @p n micro-batches.

@@ -1,8 +1,8 @@
 /**
  * @file
  * Planner facade: produce a complete PipelinePlan for one method
- * (AdaPipe, Even Partitioning, DAPPLE-Full, DAPPLE-Non) on one
- * profiled model.
+ * (AdaPipe, Even Partitioning or a DAPPLE baseline) on one profiled
+ * model.
  */
 
 #ifndef ADAPIPE_CORE_PLANNER_H
@@ -17,11 +17,12 @@ namespace adapipe {
 /**
  * Build the plan of @p method for @p pm.
  *
- * AdaPipe runs both DP levels; Even Partitioning runs only the
- * recomputation DP on the baseline layer split; the DAPPLE baselines
- * use the same split with uniform full/no recomputation. All four go
- * through the identical Sec. 5.1 cost model so their iteration times
- * are comparable.
+ * planChain() with one position per device, timed by the Sec. 5.1
+ * closed form. AdaPipe runs both DP levels; Even Partitioning runs
+ * only the recomputation DP on the baseline layer split; the DAPPLE
+ * baselines use the same split with uniform full/no/selective
+ * recomputation. All go through the identical cost model so their
+ * iteration times are comparable.
  *
  * @param pm profiled model (carries t, p, d and the workload)
  * @param method planning method
@@ -30,6 +31,25 @@ namespace adapipe {
  */
 PlanResult makePlan(const ProfiledModel &pm, PlanMethod method,
                     StageCostOptions opts = {});
+
+/**
+ * The search every schedule shares: plan a chain of @p chain
+ * positions (position g runs on device g % p, so chain = v * p with
+ * v virtual stages per device).
+ *
+ * Builds one StageCostCalculator over the chain, picks the ranges
+ * (the adaptive partition DP for AdaPipe, evenPartition() otherwise),
+ * costs every position with the method's recomputation policy and
+ * fills the plan's stages. Only the timing of the finished chain
+ * depends on the schedule, so the returned plan's timing is left
+ * zero for the caller: makePlan() applies the Sec. 5.1 closed form,
+ * makeInterleavedPlan() the event simulator. A schedule passes its
+ * own in-flight counts and memory share through @p opts.
+ *
+ * @return the plan, or the first infeasible position's diagnosis
+ */
+PlanResult planChain(const ProfiledModel &pm, PlanMethod method,
+                     int chain, const StageCostOptions &opts);
 
 } // namespace adapipe
 

@@ -276,7 +276,6 @@ class StageWorker
      *  at least one block. */
     std::unique_ptr<HostStager> stager_;
     double lossSum_ = 0;
-    std::int64_t opsExecuted_ = 0;
     /** Ops completed within the current step (the fault injector's
      *  crash coordinate). */
     std::int64_t opsThisStep_ = 0;
@@ -782,12 +781,6 @@ StageWorker::run()
             // lookahead window get their fetches queued now.
             if (stager_)
                 stager_->advance(k);
-            if (workerIdx_ == opts_.injectFailStage &&
-                opsExecuted_ == opts_.injectFailAfterOps) {
-                throw std::runtime_error(
-                    "injected failure after " +
-                    std::to_string(opsExecuted_) + " ops");
-            }
             const PipeOp &op = sched_.ops[idx];
             const bool forward = op.kind == OpKind::Forward;
             if (injector_) {
@@ -805,7 +798,6 @@ StageWorker::run()
                                    op.microBatch, forward,
                                    obs::nowUs() - op_start);
             }
-            ++opsExecuted_;
             ++opsThisStep_;
             if (watchdog_)
                 watchdog_->beat(workerIdx_);

@@ -166,15 +166,6 @@ struct RuntimeOptions
     /** Device-order ops of prefetch lookahead for the host stager. */
     int offloadLookahead = 2;
     /**
-     * Test hook: worker index to kill (-1 = disabled). The worker
-     * throws after executing injectFailAfterOps forward/backward
-     * ops, exercising the shutdown path peers observe as
-     * ChannelClosedError.
-     */
-    int injectFailStage = -1;
-    /** Ops the killed worker completes before throwing. */
-    std::int64_t injectFailAfterOps = 0;
-    /**
      * Global step of the run's first iteration (resume offset). The
      * data stream, the fault injector and the snapshot cadence are
      * all keyed by the global step firstStep + local step, so a run

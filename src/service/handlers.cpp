@@ -181,13 +181,11 @@ PlanService::solve(const PlanRequest &request)
     opts.offload.enabled = request.offload;
     opts.offload.bandwidth = request.offloadBandwidth;
     opts.offload.overlapFraction = request.offloadOverlapFraction;
-    if (request.scheduleFamily == "interleaved") {
-        return makeInterleavedPlan(pm, request.method,
-                                   request.virtualStages, opts);
-    }
-    if (request.scheduleFamily == "best")
-        return makeBestSchedulePlan(pm, request.method, opts);
-    return makePlan(pm, request.method, opts);
+    // The wire normalises family 1f1b to virtual_stages = 1.
+    return request.scheduleFamily == "best"
+               ? makeBestSchedulePlan(pm, request.method, opts)
+               : makeInterleavedPlan(pm, request.method,
+                                     request.virtualStages, opts);
 }
 
 PlanResult

@@ -32,37 +32,11 @@ modelByName(const std::string &name, const JsonReader &where)
 PlanMethod
 methodByName(const std::string &name, const JsonReader &where)
 {
-    if (name == "adapipe")
-        return PlanMethod::AdaPipe;
-    if (name == "even")
-        return PlanMethod::EvenPartition;
-    if (name == "dapple-full")
-        return PlanMethod::DappleFull;
-    if (name == "dapple-non")
-        return PlanMethod::DappleNon;
-    if (name == "dapple-selective")
-        return PlanMethod::DappleSelective;
-    where.fail("unknown method '" + name +
-               "' (expected adapipe|even|dapple-full|dapple-non|"
-               "dapple-selective)");
-}
-
-const char *
-methodWireName(PlanMethod method)
-{
-    switch (method) {
-      case PlanMethod::AdaPipe:
-        return "adapipe";
-      case PlanMethod::EvenPartition:
-        return "even";
-      case PlanMethod::DappleFull:
-        return "dapple-full";
-      case PlanMethod::DappleNon:
-        return "dapple-non";
-      case PlanMethod::DappleSelective:
-        return "dapple-selective";
-    }
-    ADAPIPE_FATAL("unhandled plan method");
+    const std::optional<PlanMethod> method = planMethodByName(name);
+    if (!method)
+        where.fail("unknown method '" + name + "' (expected " +
+                   planMethodWireNames() + ")");
+    return *method;
 }
 
 int
@@ -380,7 +354,7 @@ planRequestToJson(const PlanRequest &request)
             JsonValue::boolean(request.par.flashAttention));
     root.set("parallel", std::move(par));
     root.set("method",
-             JsonValue::string(methodWireName(request.method)));
+             JsonValue::string(planMethodWireName(request.method)));
     JsonValue schedule = JsonValue::object();
     schedule.set("family",
                  JsonValue::string(request.scheduleFamily));

@@ -47,10 +47,7 @@ simulatePlan(const ProfiledModel &pm, const PipelinePlan &plan)
     const int p = static_cast<int>(plan.stages.size());
     ADAPIPE_ASSERT(p == pm.par.pipeline,
                    "plan does not match the profiled model");
-    std::vector<StageTimes> times;
-    times.reserve(p);
-    for (const auto &sp : plan.stages)
-        times.push_back({sp.timeFwd, sp.timeBwd});
+    const std::vector<StageTimes> times = planStageTimes(plan);
 
     // P2P time is already charged inside the stage times by the
     // planner (StageCostOptions::includeP2p), so the simulator runs

@@ -1,11 +1,10 @@
 #include "sim/interleaved_planner.h"
 
 #include <algorithm>
-#include <optional>
 #include <sstream>
 #include <utility>
 
-#include "core/partition_dp.h"
+#include "core/cost_model.h"
 #include "obs/macros.h"
 #include "sim/pipeline_sim.h"
 #include "util/logging.h"
@@ -42,32 +41,16 @@ makeInterleavedPlan(const ProfiledModel &pm, PlanMethod method, int v,
     ADAPIPE_OBS_SPAN(obs_span, "planner.make_interleaved_plan");
     ADAPIPE_OBS_COUNT("planner.plans", 1);
     const int p = pm.par.pipeline;
-    const int L = pm.numLayers();
     const int n = pm.train.microBatches(pm.par);
-    PlanResult result;
 
     ParseResult<Schedule> built = tryBuildInterleaved1F1B(p, n, v);
     if (!built.ok()) {
         ADAPIPE_OBS_COUNT("planner.infeasible", 1);
+        PlanResult result;
         result.oomReason = built.error();
         return result;
     }
     const Schedule schedule = std::move(built).value();
-
-    // Every chunk needs at least one attention block (same limit the
-    // even partitioner has for plain stages).
-    const int chunks = v * p;
-    const int blocks = (L - 2) / 2;
-    if (blocks < chunks) {
-        ADAPIPE_OBS_COUNT("planner.infeasible", 1);
-        std::ostringstream oss;
-        oss << "interleaved partition cannot split " << blocks
-            << " attention blocks across " << chunks
-            << " virtual chunks (pipeline " << p
-            << " * virtual_stages " << v << ")";
-        result.oomReason = oss.str();
-        return result;
-    }
 
     // Chunk g's in-flight count is not min(p - g, n): read the exact
     // peaks off the interleaved device order. Each chunk plans
@@ -81,96 +64,10 @@ makeInterleavedPlan(const ProfiledModel &pm, PlanMethod method, int v,
     chunk_opts.memCapacityOverride =
         std::max<Bytes>(1, real_cap / static_cast<Bytes>(v));
 
-    StageCostCalculator calc(pm, chunks, n, chunk_opts);
-
-#if ADAPIPE_OBS_ENABLED
-    struct FlushStageCostStats
-    {
-        const StageCostCalculator &calc;
-        ~FlushStageCostStats()
-        {
-            ADAPIPE_OBS_COUNT("stage_cost.cache_hits",
-                              calc.cacheHits());
-            ADAPIPE_OBS_COUNT("stage_cost.evaluations",
-                              calc.evaluations());
-            ADAPIPE_OBS_COUNT("stage_cost.memo_hits",
-                              calc.memoHits());
-            ADAPIPE_OBS_COUNT("stage_cost.memo_misses",
-                              calc.memoMisses());
-        }
-    } flush_stats{calc};
-#endif
-
-    std::optional<RecomputeBaseline> baseline;
-    if (method == PlanMethod::DappleFull)
-        baseline = RecomputeBaseline::Full;
-    else if (method == PlanMethod::DappleNon)
-        baseline = RecomputeBaseline::None;
-    else if (method == PlanMethod::DappleSelective)
-        baseline = RecomputeBaseline::Selective;
-
-    // AdaPipe partitions the chunk boundaries adaptively (the DP's
-    // 1F1B objective over the v*p-position chain is a proxy for the
-    // interleaved critical path — the final timing below comes from
-    // the simulator). The baselines keep the even chunk split.
-    std::vector<std::pair<int, int>> ranges;
-    if (method == PlanMethod::AdaPipe) {
-        const PartitionDpResult dp =
-            solveAdaptivePartition(calc, L, chunks, n);
-        if (!dp.feasible) {
-            ADAPIPE_OBS_COUNT("planner.infeasible", 1);
-            result.oomReason =
-                "no memory-feasible interleaved partition";
-            return result;
-        }
-        ranges = dp.ranges;
-    } else {
-        ranges = evenPartition(L, chunks);
-    }
-
-    PipelinePlan plan;
-    plan.method = method;
-    plan.par = pm.par;
-    plan.train = pm.train;
-    plan.microBatches = n;
-    plan.virtualStages = v;
-
-    std::vector<StageTimes> times(chunks);
-    for (int g = 0; g < chunks; ++g) {
-        const auto [i, j] = ranges[g];
-        const StageCost c = baseline
-                                ? calc.baselineCost(g, i, j, *baseline)
-                                : calc.cost(g, i, j);
-        if (!c.feasible) {
-            ADAPIPE_OBS_COUNT("planner.infeasible", 1);
-            std::ostringstream oss;
-            oss << "chunk " << g << " (device " << g % p << ", layers "
-                << i << "-" << j << ") needs " << formatBytes(c.memPeak)
-                << " of its " << formatBytes(calc.capacity())
-                << " share (capacity / " << v << ")";
-            result.oomReason = oss.str();
-            return result;
-        }
-        StagePlan sp;
-        sp.firstLayer = i;
-        sp.lastLayer = j;
-        sp.timeFwd = c.fwd;
-        sp.timeBwd = c.bwd;
-        sp.memPeak = c.memPeak;
-        sp.savedUnits = c.recompute.savedUnits;
-        sp.totalUnits = c.totalUnits;
-        sp.savedMask = c.recompute.saved;
-        sp.overlapBubble = calc.overlapBubble(g);
-        sp.timeReplayHidden = c.replayHidden;
-        sp.timeReplayCritical = c.replayCritical;
-        sp.offloadMask = c.recompute.offloaded;
-        sp.offloadBytes = c.offloadBytes;
-        sp.offloadFetchUs = c.offloadExposed * 1e6;
-        if (c.offloadedUnits > 0)
-            plan.offload = true;
-        plan.stages.push_back(std::move(sp));
-        times[g] = {c.fwd, c.bwd};
-    }
+    PlanResult result = planChain(pm, method, v * p, chunk_opts);
+    if (!result.ok)
+        return result;
+    PipelinePlan &plan = result.plan;
 
     // The per-chunk capacity/v budgeting is conservative, not exact:
     // verify the real constraint — device d's v chunks together fit
@@ -185,8 +82,9 @@ makeInterleavedPlan(const ProfiledModel &pm, PlanMethod method, int v,
             oss << "device " << d << "'s " << v << " chunks need "
                 << formatBytes(total) << " of "
                 << formatBytes(real_cap);
-            result.oomReason = oss.str();
-            return result;
+            PlanResult oom;
+            oom.oomReason = oss.str();
+            return oom;
         }
     }
 
@@ -194,9 +92,8 @@ makeInterleavedPlan(const ProfiledModel &pm, PlanMethod method, int v,
     // the simulator runs with zero transfer cost; warmup/ending have
     // no closed form for the interleaved schedule and are folded
     // into total.
+    const std::vector<StageTimes> times = planStageTimes(plan);
     const SimResult sim = simulate(schedule, times, {});
-    plan.timing.warmup = 0;
-    plan.timing.ending = 0;
     plan.timing.total = sim.iterationTime;
     Seconds steady = 0;
     for (int d = 0; d < p; ++d) {
@@ -206,9 +103,6 @@ makeInterleavedPlan(const ProfiledModel &pm, PlanMethod method, int v,
         steady = std::max(steady, per_mb);
     }
     plan.timing.steadyPerMb = steady;
-
-    result.ok = true;
-    result.plan = std::move(plan);
     return result;
 }
 
@@ -236,11 +130,8 @@ makeOverlapPlan(const ProfiledModel &pm, PlanMethod method, int v,
     }
     const Schedule schedule = std::move(built).value();
 
-    std::vector<StageTimes> times(chunks);
-    for (int g = 0; g < chunks; ++g)
-        times[g] = {lazy.plan.stages[g].timeFwd,
-                    lazy.plan.stages[g].timeBwd};
-    const SimResult sim = simulate(schedule, times, {});
+    const SimResult sim =
+        simulate(schedule, planStageTimes(lazy.plan), {});
 
     // Each device's idle time, spread over its v chunks and the n
     // micro-batches each chunk replays, is the per-micro-batch budget

@@ -217,6 +217,34 @@ TEST(CliProcess, ExportPlanRejectsUnknownModel)
         << r.output;
 }
 
+TEST(CliProcess, ExportPlanAcceptsEveryPlanMethod)
+{
+    // export_plan reads --method through the same table as the plan
+    // service and pipeline_training, so dapple-selective plans too.
+    const std::string out =
+        ::testing::TempDir() + "cli_test_selective_plan.json";
+    const RunResult r = runCommand(
+        std::string(ADAPIPE_EXPORT_PLAN_BIN) +
+        " --model gpt3-13b --nodes 1 --tensor 2 --pipeline 4"
+        " --data 1 --seq 2048 --global-batch 16"
+        " --method dapple-selective --quiet --plan-out " + out);
+    EXPECT_EQ(r.exitCode, 0) << r.output;
+}
+
+TEST(CliProcess, ExportPlanRejectsUnknownMethodListingAll)
+{
+    const RunResult r = runCommand(
+        std::string(ADAPIPE_EXPORT_PLAN_BIN) + " --method bogus");
+    EXPECT_EQ(r.exitCode, 1);
+    EXPECT_NE(r.output.find("unknown method 'bogus'"),
+              std::string::npos)
+        << r.output;
+    for (const char *name : {"adapipe", "even", "dapple-full",
+                             "dapple-non", "dapple-selective"})
+        EXPECT_NE(r.output.find(name), std::string::npos)
+            << name << " missing from: " << r.output;
+}
+
 TEST(CliProcess, UnknownFlagExitsWithUsage)
 {
     const RunResult r = runCommand(

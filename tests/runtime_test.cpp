@@ -19,6 +19,7 @@
 #include "memory/memory_model.h"
 #include "obs/macros.h"
 #include "runtime/channel.h"
+#include "runtime/fault_injector.h"
 #include "runtime/pipeline_runtime.h"
 #include "runtime/plan_mapping.h"
 #include "sim/interleaved_planner.h"
@@ -590,8 +591,10 @@ TEST(PipelineRuntime, KilledWorkerTerminatesWithDiagnostic)
     // error naming the worker.
     const TinyLmConfig cfg = smallConfig();
     RuntimeOptions opts = smallOpts();
-    opts.injectFailStage = 1;
-    opts.injectFailAfterOps = 3;
+    RuntimeFaultSpec faults;
+    faults.crash.worker = 1;
+    faults.crash.afterOps = 3;
+    opts.faults = &faults;
     const auto specs =
         evenStageSpecs(cfg.blocks, 3, BlockRecompute::None);
     TinyLM model(cfg);
@@ -599,7 +602,7 @@ TEST(PipelineRuntime, KilledWorkerTerminatesWithDiagnostic)
     EXPECT_FALSE(run.ok);
     EXPECT_NE(run.error.find("worker 1"), std::string::npos)
         << run.error;
-    EXPECT_NE(run.error.find("injected failure"), std::string::npos)
+    EXPECT_NE(run.error.find("injected crash"), std::string::npos)
         << run.error;
 }
 
@@ -608,8 +611,10 @@ TEST(PipelineRuntime, KilledInterleavedWorkerAlsoTerminates)
     const TinyLmConfig cfg = smallConfig();
     RuntimeOptions opts = smallOpts();
     opts.virtualStages = 2;
-    opts.injectFailStage = 0;
-    opts.injectFailAfterOps = 2;
+    RuntimeFaultSpec faults;
+    faults.crash.worker = 0;
+    faults.crash.afterOps = 2;
+    opts.faults = &faults;
     const auto specs =
         evenStageSpecs(cfg.blocks, 4, BlockRecompute::None);
     TinyLM model(cfg);
