@@ -63,7 +63,8 @@ main()
     std::cout << "3. Re-import (round-tripped through JSON) and "
                  "re-plan\n\n";
     const ProfileTable back =
-        profileTableFromJsonString(profileTableToJsonString(table));
+        tryProfileTableFromJsonString(profileTableToJsonString(table))
+            .value();
 
     Table results({"Profile", "AdaPipe iteration", "Stage-0 saved",
                    "Stage-0 B time"});
@@ -80,7 +81,7 @@ main()
                         formatSeconds(s0.timeBwd)});
     };
     report("analytic roofline");
-    applyProfileTable(pm, back);
+    tryApplyProfileTable(pm, back).value();
     report("measured (synthetic)");
     results.print(std::cout);
 

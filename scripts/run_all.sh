@@ -9,7 +9,7 @@ set -eu
 BUILD_DIR="${1:-build}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
-cmake -B "$BUILD_DIR" -G Ninja
+cmake -B "$BUILD_DIR" -S "$ROOT" -G Ninja
 cmake --build "$BUILD_DIR"
 
 ctest --test-dir "$BUILD_DIR" 2>&1 | tee "$ROOT/test_output.txt"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/cost_model.h"
 #include "obs/macros.h"
 #include "util/logging.h"
 
@@ -131,31 +130,6 @@ solveAdaptivePartition(StageCostCalculator &calc, int num_layers, int p,
         i = j + 1;
     }
     ADAPIPE_ASSERT(i == L, "partition does not cover all layers");
-    return result;
-}
-
-PartitionDpResult
-evaluateFixedPartition(StageCostCalculator &calc,
-                       const std::vector<std::pair<int, int>> &ranges,
-                       int n, std::optional<RecomputeBaseline> baseline)
-{
-    const int p = static_cast<int>(ranges.size());
-    ADAPIPE_ASSERT(p >= 1, "empty partition");
-
-    PartitionDpResult result;
-    result.ranges = ranges;
-    std::vector<StageTimes> times(p);
-    for (int s = 0; s < p; ++s) {
-        const auto [i, j] = ranges[s];
-        StageCost c = baseline
-                          ? calc.baselineCost(s, i, j, *baseline)
-                          : calc.cost(s, i, j);
-        if (!c.feasible)
-            return result; // infeasible, ranges kept for diagnosis
-        times[s] = {c.fwd, c.bwd};
-    }
-    result.feasible = true;
-    result.timing = evaluate1F1B(times, n);
     return result;
 }
 

@@ -21,7 +21,6 @@
 #ifndef ADAPIPE_CORE_PARTITION_DP_H
 #define ADAPIPE_CORE_PARTITION_DP_H
 
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -53,22 +52,6 @@ struct PartitionDpResult
  */
 PartitionDpResult solveAdaptivePartition(StageCostCalculator &calc,
                                          int num_layers, int p, int n);
-
-/**
- * Evaluate a *fixed* partition (used by Even Partitioning and the
- * DAPPLE baselines) through the same cost model.
- *
- * @param calc stage cost oracle
- * @param ranges inclusive layer range per stage
- * @param n micro-batches
- * @param baseline when set, per-stage costs use this uniform
- *        recomputation policy instead of the knapsack
- */
-PartitionDpResult
-evaluateFixedPartition(StageCostCalculator &calc,
-                       const std::vector<std::pair<int, int>> &ranges,
-                       int n,
-                       std::optional<RecomputeBaseline> baseline = {});
 
 /**
  * The baselines' uniform layer split: decoder blocks distributed as

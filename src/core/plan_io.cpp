@@ -2,7 +2,6 @@
 
 #include "util/file_io.h"
 #include "util/json_reader.h"
-#include "util/logging.h"
 
 namespace adapipe {
 
@@ -262,24 +261,6 @@ std::string
 planToJsonString(const PipelinePlan &plan, int indent)
 {
     return planToJson(plan).dump(indent);
-}
-
-PipelinePlan
-planFromJson(const JsonValue &json)
-{
-    ParseResult<PipelinePlan> r = tryPlanFromJson(json);
-    if (!r.ok())
-        ADAPIPE_FATAL(r.error());
-    return std::move(r).value();
-}
-
-PipelinePlan
-planFromJsonString(const std::string &text)
-{
-    ParseResult<PipelinePlan> r = tryPlanFromJsonString(text);
-    if (!r.ok())
-        ADAPIPE_FATAL(r.error());
-    return std::move(r).value();
 }
 
 ParseResult<PipelinePlan>

@@ -32,22 +32,14 @@ JsonValue planToJson(const PipelinePlan &plan);
 std::string planToJsonString(const PipelinePlan &plan, int indent = 2);
 
 /**
- * Parse a plan back from JSON produced by planToJson. ADAPIPE_FATAL
- * on schema violations; use tryPlanFromJson for untrusted input.
- */
-PipelinePlan planFromJson(const JsonValue &json);
-
-/** Parse a plan from a JSON string (fatal on violations). */
-PipelinePlan planFromJsonString(const std::string &text);
-
-/**
- * Recoverable plan parse: schema violations are reported with the
- * offending field's dotted path (e.g. "plan.stages[2].mem_peak")
- * instead of terminating the process.
+ * Parse a plan back from JSON produced by planToJson. Schema
+ * violations are reported with the offending field's dotted path
+ * (e.g. "plan.stages[2].mem_peak") instead of terminating the
+ * process.
  */
 ParseResult<PipelinePlan> tryPlanFromJson(const JsonValue &json);
 
-/** Recoverable parse from a JSON string (covers syntax errors too). */
+/** Parse from a JSON string (covers syntax errors too). */
 ParseResult<PipelinePlan> tryPlanFromJsonString(const std::string &text);
 
 /**

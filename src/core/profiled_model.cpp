@@ -108,14 +108,6 @@ extractProfileTable(const ProfiledModel &pm)
     return table;
 }
 
-void
-applyProfileTable(ProfiledModel &pm, const ProfileTable &table)
-{
-    ParseStatus status = tryApplyProfileTable(pm, table);
-    if (!status.ok())
-        ADAPIPE_FATAL(status.error());
-}
-
 ParseStatus
 tryApplyProfileTable(ProfiledModel &pm, const ProfileTable &table)
 {

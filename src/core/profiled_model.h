@@ -96,16 +96,8 @@ ProfileTable extractProfileTable(const ProfiledModel &pm);
  * Replace the model's unit costs with @p table — the
  * "bring your own measurements" path standing in for the paper's
  * 5-10-iteration cluster profiling. Layer/unit structure and names
- * must match the model exactly; mismatches are fatal so stale
- * tables fail loudly. Use tryApplyProfileTable for user-supplied
- * tables.
- */
-void applyProfileTable(ProfiledModel &pm, const ProfileTable &table);
-
-/**
- * Recoverable variant of applyProfileTable: structure mismatches are
- * reported as an error naming the offending layer/unit, and @p pm is
- * left untouched on failure.
+ * must match the model exactly; a mismatch is reported as an error
+ * naming the offending layer/unit, and @p pm is left untouched.
  */
 ParseStatus tryApplyProfileTable(ProfiledModel &pm,
                                  const ProfileTable &table);

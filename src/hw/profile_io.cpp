@@ -2,7 +2,6 @@
 
 #include "util/file_io.h"
 #include "util/json_reader.h"
-#include "util/logging.h"
 
 namespace adapipe {
 
@@ -95,24 +94,6 @@ std::string
 profileTableToJsonString(const ProfileTable &table, int indent)
 {
     return profileTableToJson(table).dump(indent);
-}
-
-ProfileTable
-profileTableFromJson(const JsonValue &json)
-{
-    ParseResult<ProfileTable> r = tryProfileTableFromJson(json);
-    if (!r.ok())
-        ADAPIPE_FATAL(r.error());
-    return std::move(r).value();
-}
-
-ProfileTable
-profileTableFromJsonString(const std::string &text)
-{
-    ParseResult<ProfileTable> r = tryProfileTableFromJsonString(text);
-    if (!r.ok())
-        ADAPIPE_FATAL(r.error());
-    return std::move(r).value();
 }
 
 ParseResult<ProfileTable>

@@ -38,22 +38,13 @@ std::string profileTableToJsonString(const ProfileTable &table,
                                      int indent = 2);
 
 /**
- * Parse a table back; ADAPIPE_FATAL on schema violations. Use
- * tryProfileTableFromJson for untrusted (user-measured) tables.
- */
-ProfileTable profileTableFromJson(const JsonValue &json);
-
-/** Parse from a JSON string (fatal on violations). */
-ProfileTable profileTableFromJsonString(const std::string &text);
-
-/**
- * Recoverable table parse: schema violations are reported with the
+ * Parse a table back: schema violations are reported with the
  * offending field's path (e.g. "profile.layers[3][1].kind") instead
  * of terminating the process.
  */
 ParseResult<ProfileTable> tryProfileTableFromJson(const JsonValue &json);
 
-/** Recoverable parse from a JSON string (covers syntax errors). */
+/** Parse from a JSON string (covers syntax errors). */
 ParseResult<ProfileTable>
 tryProfileTableFromJsonString(const std::string &text);
 

@@ -86,7 +86,7 @@ checkGolden(const GoldenCase &c)
     const std::string text = readFile(fixturePath(c.fixture));
     const std::string actual = planToJsonString(result.plan, 0);
     if (text.empty() ||
-        actual != planToJsonString(planFromJsonString(text), 0)) {
+        actual != planToJsonString(tryPlanFromJsonString(text).value(), 0)) {
         std::ofstream(std::string(c.fixture) + ".actual")
             << planToJsonString(result.plan) << "\n";
         ADD_FAILURE() << c.fixture
@@ -196,9 +196,9 @@ TEST(GoldenPlan, FixturesRoundTripThroughPlanIo)
                              "gpt3_175b_gb8_even_plan.json",
                              "gpt3_175b_gb8_dapple_full_plan.json"}) {
         const std::string text = readFile(fixturePath(name));
-        const PipelinePlan plan = planFromJsonString(text);
+        const PipelinePlan plan = tryPlanFromJsonString(text).value();
         const PipelinePlan again =
-            planFromJsonString(planToJsonString(plan));
+            tryPlanFromJsonString(planToJsonString(plan)).value();
         EXPECT_EQ(planToJsonString(plan, 0),
                   planToJsonString(again, 0))
             << name;

@@ -126,7 +126,7 @@ TEST_F(PlanIoTest, RoundTripPreservesEverything)
 {
     const PipelinePlan plan = makeTestPlan();
     const std::string text = planToJsonString(plan);
-    const PipelinePlan back = planFromJsonString(text);
+    const PipelinePlan back = tryPlanFromJsonString(text).value();
 
     EXPECT_EQ(back.method, plan.method);
     EXPECT_EQ(back.par.tensor, plan.par.tensor);
@@ -158,7 +158,7 @@ TEST_F(PlanIoTest, AllMethodsSerializable)
         plan.par.pipeline = 1;
         plan.stages.emplace_back();
         const PipelinePlan back =
-            planFromJsonString(planToJsonString(plan));
+            tryPlanFromJsonString(planToJsonString(plan)).value();
         EXPECT_EQ(back.method, m);
     }
 }
@@ -168,7 +168,10 @@ TEST_F(PlanIoTest, RejectsCorruptedPlan)
     const PipelinePlan plan = makeTestPlan();
     JsonValue json = planToJson(plan);
     json.set("method", JsonValue::string("not-a-method"));
-    EXPECT_DEATH(planFromJson(json), "unknown plan method");
+    const ParseResult<PipelinePlan> r = tryPlanFromJson(json);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.error().find("unknown plan method"), std::string::npos)
+        << r.error();
 }
 
 TEST(TraceExport, ValidJsonWithAllOps)

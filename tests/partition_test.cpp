@@ -96,12 +96,11 @@ TEST_F(PartitionTest, AdaptiveNeverWorseThanEvenPartition)
     StageCostCalculator calc(pm, par.pipeline, n);
     const auto adaptive =
         solveAdaptivePartition(calc, pm.numLayers(), par.pipeline, n);
-    const auto even = evaluateFixedPartition(
-        calc, evenPartition(pm.numLayers(), par.pipeline), n);
+    const PlanResult even = makePlan(pm, PlanMethod::EvenPartition);
     ASSERT_TRUE(adaptive.feasible);
-    ASSERT_TRUE(even.feasible);
+    ASSERT_TRUE(even.ok) << even.oomReason;
     // The DP optimises over all partitions including the even one.
-    EXPECT_LE(adaptive.timing.total, even.timing.total + 1e-9);
+    EXPECT_LE(adaptive.timing.total, even.plan.timing.total + 1e-9);
 }
 
 TEST_F(PartitionTest, MovesLayersFromEarlyToLateStages)
@@ -206,18 +205,16 @@ TEST_F(PartitionTest, LaterStagesSaveMoreUnits)
 
 TEST_F(PartitionTest, FixedPartitionBaselinesOrdering)
 {
+    // Both baselines run the even split; they differ only in the
+    // recomputation policy.
     const ProfiledModel pm = profiled();
-    const int n = train.microBatches(par);
-    StageCostCalculator calc(pm, par.pipeline, n);
-    const auto ranges = evenPartition(pm.numLayers(), par.pipeline);
-
-    const auto adaptive = evaluateFixedPartition(calc, ranges, n);
-    const auto full = evaluateFixedPartition(calc, ranges, n, RecomputeBaseline::Full);
-    ASSERT_TRUE(adaptive.feasible);
-    ASSERT_TRUE(full.feasible);
+    const PlanResult adaptive = makePlan(pm, PlanMethod::EvenPartition);
+    const PlanResult full = makePlan(pm, PlanMethod::DappleFull);
+    ASSERT_TRUE(adaptive.ok) << adaptive.oomReason;
+    ASSERT_TRUE(full.ok) << full.oomReason;
     // Adaptive recomputation never recomputes more than full
     // recomputation, so it cannot be slower.
-    EXPECT_LE(adaptive.timing.total, full.timing.total + 1e-9);
+    EXPECT_LE(adaptive.plan.timing.total, full.plan.timing.total + 1e-9);
 }
 
 TEST_F(PartitionTest, RejectsMoreStagesThanLayers)

@@ -32,8 +32,9 @@ TEST(ProfileIo, RoundTripPreservesTable)
 {
     const ProfiledModel pm = smallProfiled();
     const ProfileTable table = extractProfileTable(pm);
-    const ProfileTable back = profileTableFromJsonString(
-        profileTableToJsonString(table));
+    const ProfileTable back =
+        tryProfileTableFromJsonString(profileTableToJsonString(table))
+            .value();
 
     EXPECT_EQ(back.source, table.source);
     ASSERT_EQ(back.layers.size(), table.layers.size());
@@ -67,7 +68,7 @@ TEST(ProfileIo, AppliedTableChangesPlannedTimes)
             u.timeBwd *= 2;
         }
     }
-    applyProfileTable(pm, table);
+    ASSERT_TRUE(tryApplyProfileTable(pm, table).ok());
     const PlanResult after = makePlan(pm, PlanMethod::DappleFull);
     ASSERT_TRUE(after.ok);
     EXPECT_NEAR(after.plan.timing.total,
@@ -80,11 +81,17 @@ TEST(ProfileIo, ApplyRejectsStructureMismatch)
     ProfiledModel pm = smallProfiled();
     ProfileTable table = extractProfileTable(pm);
     table.layers.pop_back();
-    EXPECT_DEATH(applyProfileTable(pm, table), "layers");
+    const ParseStatus short_table = tryApplyProfileTable(pm, table);
+    ASSERT_FALSE(short_table.ok());
+    EXPECT_NE(short_table.error().find("layers"), std::string::npos)
+        << short_table.error();
 
     ProfileTable renamed = extractProfileTable(pm);
     renamed.layers[1][0].name = "bogus";
-    EXPECT_DEATH(applyProfileTable(pm, renamed), "name mismatch");
+    const ParseStatus bad_name = tryApplyProfileTable(pm, renamed);
+    ASSERT_FALSE(bad_name.ok());
+    EXPECT_NE(bad_name.error().find("name mismatch"), std::string::npos)
+        << bad_name.error();
 }
 
 TEST(ProfileIo, ApplyMemoryChangesBaselineAccounting)
@@ -99,7 +106,7 @@ TEST(ProfileIo, ApplyMemoryChangesBaselineAccounting)
         for (auto &u : layer)
             u.memSaved *= 3;
     }
-    applyProfileTable(pm, table);
+    ASSERT_TRUE(tryApplyProfileTable(pm, table).ok());
     const Bytes after = mm.noRecomputeSavedPerMb(
         pm.rawLayers, 0, pm.numLayers() - 1);
     EXPECT_EQ(after, 3 * before);
@@ -113,7 +120,10 @@ TEST(ProfileIo, RejectsUnknownKind)
                      "time_fwd": 1.0, "time_bwd": 2.0,
                      "mem_saved": 10, "always_saved": false}]]
     })";
-    EXPECT_DEATH(profileTableFromJsonString(bad), "unknown unit kind");
+    const ParseResult<ProfileTable> r = tryProfileTableFromJsonString(bad);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.error().find("unknown unit kind"), std::string::npos)
+        << r.error();
 }
 
 } // namespace
