@@ -93,12 +93,15 @@ referenceLosses(const TinyLmConfig &cfg, const RuntimeOptions &opts,
 // Offloaded activations round-trip device -> host -> device as raw
 // float bytes and the fallback replays from the kept boundary input,
 // so the loss stream must be bit-identical to the plain trainer at
-// every (p, v, threads, sync) corner — with offload on or off.
+// every (recompute, p, v, threads, sync, overlap) corner — with
+// offload on or off. Overlapped replay and the offload stager share
+// the backward rank, so both knobs are swept together.
 TEST(OffloadBitExactness, SweepMatchesReferenceAtEveryCorner)
 {
     const TinyLmConfig cfg = smallConfig();
     const RuntimeOptions base = smallOpts();
     const BlockRecompute modes[] = {BlockRecompute::None,
+                                    BlockRecompute::AttentionOnly,
                                     BlockRecompute::Full};
     for (const BlockRecompute mode : modes) {
         const std::vector<double> ref = referenceLosses(
@@ -114,19 +117,23 @@ TEST(OffloadBitExactness, SweepMatchesReferenceAtEveryCorner)
                     evenStageSpecs(cfg.blocks, v * p, mode));
                 for (const int threads : {1, 4}) {
                     for (const bool sync : {false, true}) {
-                        RuntimeOptions opts = base;
-                        opts.virtualStages = v;
-                        opts.intraStageThreads = threads;
-                        opts.offloadSync = sync;
-                        TinyLM model(cfg);
-                        const RuntimeResult run =
-                            runPipeline(model, specs, opts);
-                        ASSERT_TRUE(run.ok) << run.error;
-                        EXPECT_EQ(run.losses, ref)
-                            << "mode=" << static_cast<int>(mode)
-                            << " p=" << p << " v=" << v
-                            << " threads=" << threads
-                            << " sync=" << sync;
+                        for (const bool overlap : {false, true}) {
+                            RuntimeOptions opts = base;
+                            opts.virtualStages = v;
+                            opts.intraStageThreads = threads;
+                            opts.offloadSync = sync;
+                            opts.overlapReplay = overlap;
+                            TinyLM model(cfg);
+                            const RuntimeResult run =
+                                runPipeline(model, specs, opts);
+                            ASSERT_TRUE(run.ok) << run.error;
+                            EXPECT_EQ(run.losses, ref)
+                                << "mode=" << static_cast<int>(mode)
+                                << " p=" << p << " v=" << v
+                                << " threads=" << threads
+                                << " sync=" << sync
+                                << " overlap=" << overlap;
+                        }
                     }
                 }
             }
