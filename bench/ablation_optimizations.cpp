@@ -6,9 +6,10 @@
  * Reports knapsack executions, cache hits and wall time for the full
  * AdaPipe search with each optimisation toggled, plus the resulting
  * plan quality (which must not change). A second table times the
- * default search for GPT-3 175B and Llama 2 70B; a third scales the
- * pipeline size p at fixed L to show the partitioning DP's
- * O(m' p L^2) growth.
+ * default search for GPT-3 175B and Llama 2 70B; a third times the
+ * two-pass overlapped-recomputation planner, whose second pass plans
+ * under per-stage bubble budgets; a fourth scales the pipeline size p
+ * at fixed L to show the partitioning DP's O(m' p L^2) growth.
  */
 
 #include <chrono>
@@ -19,6 +20,9 @@
 #include "core/profiled_model.h"
 #include "hw/cluster.h"
 #include "model/model_config.h"
+#include "obs/macros.h"
+#include "obs/registry.h"
+#include "sim/interleaved_planner.h"
 #include "util/table.h"
 #include "util/units.h"
 
@@ -62,10 +66,48 @@ runSearch(const ProfiledModel &pm, const std::string &label,
     return row;
 }
 
+/**
+ * Both passes of makeOverlapPlan (v = 1). The planner builds its own
+ * calculators, so knapsack runs and cache hits are read from the
+ * counters it reports into the obs registry.
+ */
+AblationRow
+runOverlapSearch(const ProfiledModel &pm, const std::string &label,
+                 bool isomorphism)
+{
+    StageCostOptions opts;
+    opts.useIsomorphism = isomorphism;
+    obs::Registry registry;
+    obs::ScopedRegistry scoped(&registry);
+
+    const auto start = std::chrono::steady_clock::now();
+    const PlanResult r =
+        makeOverlapPlan(pm, PlanMethod::AdaPipe, 1, opts);
+    const auto end = std::chrono::steady_clock::now();
+
+    AblationRow row;
+    row.label = label;
+    row.millis = std::chrono::duration<double, std::milli>(end - start)
+                     .count();
+    row.knapsacks = static_cast<std::size_t>(
+        registry.counter("recompute_dp.runs"));
+    row.hits = static_cast<std::size_t>(
+        registry.counter("stage_cost.cache_hits"));
+    row.planTime = r.ok ? r.plan.timing.total : -1;
+    return row;
+}
+
 std::string
 planCell(const AblationRow &row)
 {
     return row.planTime < 0 ? "OOM" : formatSeconds(row.planTime);
+}
+
+/** A registry counter, or "n/a" when instrumentation is compiled out. */
+std::string
+counterCell(std::size_t count)
+{
+    return ADAPIPE_OBS_ENABLED ? std::to_string(count) : "n/a";
 }
 
 } // namespace
@@ -143,6 +185,31 @@ main()
                           planCell(row)});
     }
     per_model.print(std::cout);
+
+    // Overlapped recomputation: pass 2 gives every stage its own
+    // bubble budget, and the isomorphism key includes the budget.
+    TrainConfig overlap_train = train;
+    overlap_train.globalBatch = 16;
+    const ProfiledModel overlap_pm =
+        buildProfiledModel(model, overlap_train, par, cluster);
+    std::cout << "\nOverlapped-recomputation search, makeOverlapPlan "
+                 "v = 1 (" << model.name << ", seq "
+              << overlap_train.seqLen << ", global batch "
+              << overlap_train.globalBatch << ", strategy "
+              << par.toString() << ")\n\n";
+    Table overlap({"Configuration", "Search time", "Knapsack runs",
+                   "Cache hits", "Plan iteration time"});
+    for (const auto &[label, iso] :
+         {std::pair{"AdaPipe defaults (isomorphism keyed on the "
+                    "bubble budget)",
+                    true},
+          std::pair{"no isomorphism caching", false}}) {
+        const AblationRow row = runOverlapSearch(overlap_pm, label, iso);
+        overlap.addRow({row.label, formatSeconds(row.millis / 1e3),
+                        counterCell(row.knapsacks),
+                        counterCell(row.hits), planCell(row)});
+    }
+    overlap.print(std::cout);
 
     // Partitioning DP scaling: L fixed by the model, p varied.
     TrainConfig scale_train = train;

@@ -29,8 +29,7 @@ using namespace adapipe;
 namespace {
 
 void
-showStep(const char *label, const ProfiledModel &pm,
-         const PipelinePlan &plan)
+showStep(const char *label, const PipelinePlan &plan)
 {
     std::cout << label << "\n";
     Table t({"Stage", "Layers", "Saved units", "F", "B", "Mem"});
@@ -98,14 +97,13 @@ main()
         return 1;
     }
 
-    showStep("Original: full recomputation for all stages",
-             pm, full.plan);
+    showStep("Original: full recomputation for all stages", full.plan);
     showStep("Opt. 1: adaptive recomputation (reduces backward time; "
              "later stages save more)",
-             pm, even.plan);
+             even.plan);
     showStep("Opt. 2: + adaptive partitioning (moves layers toward "
              "later stages, removes the imbalance bubble)",
-             pm, ada.plan);
+             ada.plan);
 
     std::cout << "Speedup: Opt1 "
               << formatDouble(full.plan.timing.total /

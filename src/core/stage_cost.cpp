@@ -8,26 +8,56 @@
 
 namespace adapipe {
 
+namespace {
+
+/**
+ * True when every layer of a kind has the same parameter count and
+ * exactly equal unit profiles, the precondition of the isomorphism
+ * key. Analytic profiles satisfy it; a measured per-layer table
+ * (tryApplyProfileTable) in general does not. The raw layers'
+ * memSaved mirrors these units (tryApplyProfileTable keeps the two
+ * in sync), so comparing the profiled units covers the buffer too.
+ */
+bool
+layersUniformPerKind(const ProfiledModel &pm)
+{
+    auto same_unit = [](const UnitProfile &a, const UnitProfile &b) {
+        return a.kind == b.kind && a.timeFwd == b.timeFwd &&
+               a.timeBwd == b.timeBwd && a.memSaved == b.memSaved &&
+               a.alwaysSaved == b.alwaysSaved;
+    };
+    std::map<LayerKind, const ProfiledLayer *> first_of_kind;
+    for (const ProfiledLayer &layer : pm.layers) {
+        const auto [it, fresh] =
+            first_of_kind.emplace(layer.kind, &layer);
+        const ProfiledLayer &ref = *it->second;
+        if (fresh)
+            continue;
+        if (layer.params != ref.params ||
+            !std::equal(layer.units.begin(), layer.units.end(),
+                        ref.units.begin(), ref.units.end(), same_unit))
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
 StageCostCalculator::StageCostCalculator(const ProfiledModel &pm, int p,
                                          int n, StageCostOptions opts)
     : pm_(pm),
       mem_model_(pm.model, pm.train, pm.par, pm.optimizer),
-      p_(p), n_(n), opts_(opts)
+      p_(p), n_(n), opts_(opts),
+      isomorphic_(opts_.useIsomorphism && layersUniformPerKind(pm))
 {
     ADAPIPE_ASSERT(p_ >= 1 && n_ >= 1, "invalid pipeline/microbatches");
     ADAPIPE_ASSERT(opts_.memBudgetFraction > 0 &&
                        opts_.memBudgetFraction <= 1.0,
                    "memBudgetFraction out of (0, 1]");
-    for (double f : opts_.stageTimeFactor) {
+    for (double f : opts_.stageTimeFactor)
         ADAPIPE_ASSERT(f > 0, "stage time factor must be positive");
-        if (f != 1.0)
-            neutral_factors_ = false;
-    }
-    for (Seconds b : opts_.overlapBubblePerMb) {
+    for (Seconds b : opts_.overlapBubblePerMb)
         ADAPIPE_ASSERT(b >= 0, "overlap bubble must be >= 0, got ", b);
-        if (b != 0)
-            neutral_bubbles_ = false;
-    }
     for (int m : opts_.inflightOverride)
         ADAPIPE_ASSERT(m >= 1, "in-flight override must be >= 1, got ",
                        m);
@@ -77,22 +107,19 @@ StageCostCalculator::inflight(int s) const
 StageCostCalculator::Key
 StageCostCalculator::cacheKey(int s, int i, int j) const
 {
+    // Degenerate key: every (s, i, j) is distinct.
+    if (!isomorphic_)
+        return {s, 1.0, 0.0, false, false, i, j};
     const bool has_embed = (i == 0);
     const bool has_head = (j == pm_.numLayers() - 1);
     // The first block-layer kind determines the whole alternating
     // composition for a given length; ranges starting with the
     // embedding key on the kind of layer 1 implicitly via has_embed.
-    const int first_kind =
-        static_cast<int>(pm_.layers[std::min(i, pm_.numLayers() - 1)]
-                             .kind);
-    // Heterogeneous stage-time factors or per-stage bubble budgets
-    // break the isomorphism: the same range costs differently on a
-    // straggling stage / a stage with a different replay bubble.
-    if (opts_.useIsomorphism && neutral_factors_ && neutral_bubbles_)
-        return {inflight(s), has_embed, has_head, j - i, first_kind};
-    // Degenerate key: every (s, i, j) is distinct.
-    return {s * (pm_.numLayers() + 1) + i, has_embed, has_head, j - i,
-            first_kind + 1000};
+    const int first_kind = static_cast<int>(pm_.layers[i].kind);
+    // compute() reads exactly three things of s; stages that agree on
+    // all three (bit for bit, no quantisation) share every entry.
+    return {inflight(s), timeFactor(s), overlapBubble(s), has_embed,
+            has_head,    j - i,         first_kind};
 }
 
 StageCostCalculator::MemoryBreakdown

@@ -11,9 +11,12 @@
  *
  * Isomorphism: two layer ranges with the same length, the same first
  * layer kind and the same boundary content (embedding / decoding
- * head) have identical cost tables for the same in-flight count, so
- * results are memoised under that key, reducing knapsack executions
- * from O(p L^2) to O(p L).
+ * head) have identical cost tables on stages with the same in-flight
+ * count, stage-time factor and replay bubble budget, so results are
+ * memoised under that key, reducing knapsack executions from
+ * O(p L^2) to O(p L). The key is exact: it holds only while every
+ * layer of a kind has the same profile, so a calculator over a
+ * per-layer measured table falls back to one entry per (s, i, j).
  */
 
 #ifndef ADAPIPE_CORE_STAGE_COST_H
@@ -90,7 +93,11 @@ struct StageCostOptions
     double memBudgetFraction = 0.875;
     /** Charge the inter-stage P2P transfer to F_s and B_s. */
     bool includeP2p = true;
-    /** Exploit range isomorphism (Sec. 5.3); off for the ablation. */
+    /**
+     * Exploit range isomorphism (Sec. 5.3); off for the ablation.
+     * Ignored (one cache entry per (s, i, j)) when layers of one kind
+     * differ in their profiles.
+     */
     bool useIsomorphism = true;
     /** Knapsack solver knobs. */
     RecomputeDpOptions dp;
@@ -109,8 +116,8 @@ struct StageCostOptions
      * every stage runs at factor 1; stages beyond the vector default
      * to 1. The factor scales the final F_s and B_s (including P2P),
      * so planned times relate to healthy times by exactly this
-     * factor. Any entry != 1 disables the isomorphism cache — costs
-     * are no longer position-independent.
+     * factor. The isomorphism cache keys on the factor, so stages
+     * with equal factors still share cost entries.
      */
     std::vector<double> stageTimeFactor;
     /**
@@ -141,10 +148,10 @@ struct StageCostOptions
      * seconds available *per micro-batch* for hiding checkpoint
      * replay inside recv/send waits (derived from the event
      * simulator's per-device bubble time). Empty disables the
-     * discount; stages beyond the vector get 0. Any entry != 0
-     * disables the isomorphism cache — the same layer range then
+     * discount; stages beyond the vector get 0. The same layer range
      * costs differently on stages with different bubbles (see
-     * RecomputeDpOptions::overlapBubble for the objective change).
+     * RecomputeDpOptions::overlapBubble for the objective change),
+     * so the isomorphism cache keys on the exact budget.
      */
     std::vector<Seconds> overlapBubblePerMb;
 };
@@ -230,7 +237,9 @@ class StageCostCalculator
     };
     MemoryBreakdown breakdown(int i, int j) const;
 
-    using Key = std::tuple<int, bool, bool, int, int>;
+    /** (in-flight, time factor, bubble, has_embed, has_head,
+     *  length - 1, first kind); see cacheKey(). */
+    using Key = std::tuple<int, double, Seconds, bool, bool, int, int>;
     Key cacheKey(int s, int i, int j) const;
 
     const ProfiledModel &pm_;
@@ -243,10 +252,8 @@ class StageCostCalculator
     std::size_t cache_hits_ = 0;
     std::size_t memo_hits_ = 0;
     std::size_t memo_misses_ = 0;
-    /** True while every stage-time factor is exactly 1. */
-    bool neutral_factors_ = true;
-    /** True while every per-stage bubble budget is exactly 0. */
-    bool neutral_bubbles_ = true;
+    /** Isomorphism requested and every layer of a kind identical. */
+    bool isomorphic_;
 };
 
 } // namespace adapipe

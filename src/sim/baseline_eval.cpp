@@ -161,7 +161,8 @@ evaluateBaseline(const ProfiledModel &pm, BaselineSchedule sched,
         break;
     }
 
-    const SimResult sim = simulate(schedule, times, {pm.p2pTime});
+    const SimResult sim =
+        simulate(schedule, times, {pm.p2pTime, {}});
 
     EndToEndResult result;
     result.iterationTime = sim.iterationTime;
@@ -293,7 +294,7 @@ evaluateBPipe(const ProfiledModel &pm, RecomputeBaseline mode,
     }
 
     const SimResult sim =
-        simulate(build1F1B(p, n), times, {pm.p2pTime});
+        simulate(build1F1B(p, n), times, {pm.p2pTime, {}});
     result.iterationTime = sim.iterationTime;
     result.peakAlive = sim.peakAlive;
     result.bubbleTime = sim.totalBubbleTime();
@@ -358,7 +359,8 @@ evaluateInterleaved(const ProfiledModel &pm, int v,
     }
 
     const Schedule schedule = std::move(built).value();
-    const SimResult sim = simulate(schedule, times, {pm.p2pTime});
+    const SimResult sim =
+        simulate(schedule, times, {pm.p2pTime, {}});
 
     EndToEndResult result;
     result.iterationTime = sim.iterationTime;

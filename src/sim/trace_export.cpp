@@ -35,12 +35,11 @@ scheduleEvents(const Schedule &sched, const SimResult &result)
         const OpRecord &rec = result.records[i];
 
         JsonValue ev = JsonValue::object();
-        std::string name =
-            (op.kind == OpKind::Forward ? "F" : "B") +
-            std::to_string(op.microBatch);
+        std::string name(op.kind == OpKind::Forward ? "F" : "B");
+        name += std::to_string(op.microBatch);
         if (op.samples > 1) {
-            name += "-" +
-                    std::to_string(op.microBatch + op.samples - 1);
+            name += '-';
+            name += std::to_string(op.microBatch + op.samples - 1);
         }
         ev.set("name", JsonValue::string(std::move(name)));
         ev.set("cat", JsonValue::string(

@@ -126,8 +126,9 @@ TEST(Autograd, SoftmaxCausalRowsSumToOne)
     for (int i = 0; i < 5; ++i) {
         float row = 0;
         for (int j = 0; j < 5; ++j) {
-            if (j > i)
+            if (j > i) {
                 EXPECT_EQ(p.value().at(i, j), 0.0f);
+            }
             row += p.value().at(i, j);
         }
         EXPECT_NEAR(row, 1.0f, 1e-5f);

@@ -213,7 +213,7 @@ TEST_P(InterleavedCrossCheck, EvaluateMatchesDirectSimulation)
         tryBuildInterleaved1F1B(p, n, v);
     ASSERT_TRUE(built.ok()) << built.error();
     const SimResult sim =
-        simulate(built.value(), times, {pm.p2pTime});
+        simulate(built.value(), times, {pm.p2pTime, {}});
 
     EXPECT_DOUBLE_EQ(eval.iterationTime, sim.iterationTime);
     EXPECT_DOUBLE_EQ(eval.bubbleTime, sim.totalBubbleTime());

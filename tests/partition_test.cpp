@@ -6,11 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/partition_dp.h"
 #include "core/planner.h"
 #include "core/profiled_model.h"
 #include "hw/cluster.h"
+#include "hw/profile_io.h"
 #include "model/model_config.h"
+#include "sim/interleaved_planner.h"
+#include "sim/schedule.h"
+#include "util/rng.h"
 
 namespace adapipe {
 namespace {
@@ -39,7 +46,104 @@ class PartitionTest : public ::testing::Test
     {
         return buildProfiledModel(model, train, par, cluster);
     }
+
+    /**
+     * Six blocks under a tight memory cap: small enough for a
+     * calculator without the cache to solve every (s, i, j), tight
+     * enough that the knapsack runs.
+     */
+    ProfiledModel
+    smallProfiled()
+    {
+        model.numBlocks = 6;
+        cluster.device.memCapacity = GiB(6);
+        return profiled();
+    }
 };
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) ==
+           std::bit_cast<std::uint64_t>(b);
+}
+
+/** Every StageCost field equal, floating-point ones bit for bit. */
+::testing::AssertionResult
+sameCost(const StageCost &a, const StageCost &b)
+{
+    const RecomputePlanResult &ra = a.recompute;
+    const RecomputePlanResult &rb = b.recompute;
+    const bool same =
+        a.feasible == b.feasible && sameBits(a.fwd, b.fwd) &&
+        sameBits(a.bwd, b.bwd) && a.memPeak == b.memPeak &&
+        a.totalUnits == b.totalUnits &&
+        sameBits(a.replayHidden, b.replayHidden) &&
+        sameBits(a.replayCritical, b.replayCritical) &&
+        sameBits(a.offloadExposed, b.offloadExposed) &&
+        sameBits(a.offloadLinkTime, b.offloadLinkTime) &&
+        a.offloadBytes == b.offloadBytes &&
+        a.offloadedUnits == b.offloadedUnits && ra.saved == rb.saved &&
+        ra.offloaded == rb.offloaded &&
+        sameBits(ra.savedFwdTime, rb.savedFwdTime) &&
+        ra.savedBytes == rb.savedBytes &&
+        ra.savedUnits == rb.savedUnits &&
+        sameBits(ra.hiddenReplayTime, rb.hiddenReplayTime) &&
+        sameBits(ra.criticalReplayTime, rb.criticalReplayTime) &&
+        ra.offloadBytes == rb.offloadBytes &&
+        ra.offloadedUnits == rb.offloadedUnits &&
+        sameBits(ra.offloadLinkTime, rb.offloadLinkTime) &&
+        sameBits(ra.offloadExposedTime, rb.offloadExposedTime);
+    if (same)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "fwd " << a.fwd << " vs " << b.fwd << ", bwd " << a.bwd
+           << " vs " << b.bwd << ", saved units "
+           << ra.savedUnits << " vs " << rb.savedUnits;
+}
+
+/** Knapsack runs of the partition DP with and without the cache. */
+struct RunsPair
+{
+    std::size_t iso = 0;
+    std::size_t raw = 0;
+};
+
+/**
+ * Solve the partition of a @p chain-position pipeline with and
+ * without the isomorphism cache under @p opts. Both must pick the
+ * same ranges with the same timing, and agree bit for bit on the
+ * cost of every (s, i, j).
+ */
+RunsPair
+expectIsomorphismExact(const ProfiledModel &pm, int chain, int n,
+                       StageCostOptions opts)
+{
+    opts.useIsomorphism = true;
+    StageCostCalculator iso(pm, chain, n, opts);
+    opts.useIsomorphism = false;
+    StageCostCalculator raw(pm, chain, n, opts);
+    const int L = pm.numLayers();
+    const PartitionDpResult a = solveAdaptivePartition(iso, L, chain, n);
+    const PartitionDpResult b = solveAdaptivePartition(raw, L, chain, n);
+    const RunsPair runs{iso.knapsackRuns(), raw.knapsackRuns()};
+
+    EXPECT_TRUE(a.feasible);
+    EXPECT_EQ(a.feasible, b.feasible);
+    EXPECT_EQ(a.ranges, b.ranges);
+    EXPECT_TRUE(sameBits(a.timing.total, b.timing.total))
+        << a.timing.total << " vs " << b.timing.total;
+    for (int s = 0; s < chain; ++s) {
+        for (int i = 0; i < L; ++i) {
+            for (int j = i; j < L; ++j) {
+                EXPECT_TRUE(sameCost(iso.cost(s, i, j), raw.cost(s, i, j)))
+                    << "(s, i, j) = (" << s << ", " << i << ", " << j
+                    << ")";
+            }
+        }
+    }
+    return runs;
+}
 
 TEST_F(PartitionTest, EvenPartitionCoversAllLayers)
 {
@@ -165,6 +269,83 @@ TEST_F(PartitionTest, IsomorphismDoesNotChangeResult)
     ASSERT_TRUE(b.feasible);
     EXPECT_NEAR(a.timing.total, b.timing.total, 1e-9);
     EXPECT_EQ(a.ranges, b.ranges);
+}
+
+TEST_F(PartitionTest, IsomorphismExactUnderRepeatedBubbleBudgets)
+{
+    const ProfiledModel pm = smallProfiled();
+    const int p = par.pipeline;
+    // Two micro-batches: stages 0-2 keep the same in-flight count, so
+    // only the budget tells stage 2 apart from stages 0 and 1.
+    const int n = 2;
+    // Budgets on the scale of one block's forward pass, two stages
+    // sharing a value and one without a bubble.
+    const Seconds block = StageCostCalculator(pm, p, n).cost(1, 1, 2).fwd;
+    StageCostOptions opts;
+    opts.overlapBubblePerMb = {block, block, 0.25 * block, 0};
+    const RunsPair runs = expectIsomorphismExact(pm, p, n, opts);
+    EXPECT_GT(runs.iso, 0u);
+    EXPECT_LT(runs.iso, runs.raw);
+}
+
+TEST_F(PartitionTest, IsomorphismExactUnderStragglerFactors)
+{
+    const ProfiledModel pm = smallProfiled();
+    const int p = par.pipeline;
+    // Stages 0-2 keep two micro-batches in flight, so only the factor
+    // tells stage 1 apart from stages 0 and 2.
+    const int n = 2;
+    StageCostOptions opts;
+    opts.stageTimeFactor = {1.0, 1.5, 1.0, 1.5};
+    const RunsPair runs = expectIsomorphismExact(pm, p, n, opts);
+    EXPECT_GT(runs.iso, 0u);
+    EXPECT_LT(runs.iso, runs.raw);
+}
+
+TEST_F(PartitionTest, IsomorphismExactOnInterleavedChain)
+{
+    // The interleaved planner's v = 2 chain: exact per-chunk
+    // in-flight peaks, half the device memory per chunk, and chunks
+    // g and g + p sharing device g's bubble.
+    const ProfiledModel pm = smallProfiled();
+    const int p = par.pipeline;
+    const int v = 2;
+    const int n = train.microBatches(par);
+    const Schedule schedule = tryBuildInterleaved1F1B(p, n, v).value();
+    const Seconds block = StageCostCalculator(pm, p, n).cost(1, 1, 2).fwd;
+    const std::vector<Seconds> device_bubble = {block, 0.5 * block,
+                                                0.5 * block, 0};
+    StageCostOptions opts;
+    opts.inflightOverride = chunkInflightPeaks(schedule);
+    opts.memCapacityOverride = pm.memCapacity / v;
+    for (int g = 0; g < v * p; ++g)
+        opts.overlapBubblePerMb.push_back(device_bubble[g % p]);
+    const RunsPair runs = expectIsomorphismExact(pm, v * p, n, opts);
+    EXPECT_GT(runs.iso, 0u);
+    EXPECT_LT(runs.iso, runs.raw);
+}
+
+TEST_F(PartitionTest, IsomorphismOffForPerLayerMeasuredProfiles)
+{
+    // A measured table gives every layer its own unit times, so two
+    // ranges of the same shape no longer cost the same: the cache
+    // must key on (s, i, j) to stay exact.
+    ProfiledModel pm = smallProfiled();
+    ProfileTable table = extractProfileTable(pm);
+    Rng rng(2024);
+    for (auto &layer : table.layers) {
+        for (auto &u : layer) {
+            const double noise = rng.uniform(0.9, 1.1);
+            u.timeFwd *= noise;
+            u.timeBwd *= noise;
+        }
+    }
+    ASSERT_TRUE(tryApplyProfileTable(pm, table).ok());
+    const int p = par.pipeline;
+    const int n = train.microBatches(par);
+    const RunsPair runs = expectIsomorphismExact(pm, p, n, {});
+    EXPECT_GT(runs.iso, 0u);
+    EXPECT_EQ(runs.iso, runs.raw);
 }
 
 TEST_F(PartitionTest, StageCostFeasibilityMonotoneInMemory)

@@ -103,7 +103,7 @@ TEST(RecomputeDp, GcdQuantisationIsExactForPowerOfTwoSizes)
     Rng rng(11);
     std::vector<UnitProfile> units;
     for (int i = 0; i < 12; ++i) {
-        units.push_back(unit("u" + std::to_string(i),
+        units.push_back(unit(std::string("u").append(std::to_string(i)),
                              rng.uniform(0.5, 4.0),
                              4096 * rng.uniformInt(1, 16)));
     }
@@ -129,7 +129,7 @@ TEST_P(RecomputeDpProperty, MatchesBruteForce)
     const int n = 4 + GetParam() % 12;
     for (int i = 0; i < n; ++i) {
         const bool always = rng.uniform() < 0.15;
-        units.push_back(unit("u" + std::to_string(i),
+        units.push_back(unit(std::string("u").append(std::to_string(i)),
                              rng.uniform(0.1, 5.0),
                              1024 * rng.uniformInt(1, 32), always));
     }
@@ -155,7 +155,7 @@ TEST_P(BudgetMonotonicity, MoreMemoryNeverHurts)
     Rng rng(1000 + GetParam());
     std::vector<UnitProfile> units;
     for (int i = 0; i < 20; ++i) {
-        units.push_back(unit("u" + std::to_string(i),
+        units.push_back(unit(std::string("u").append(std::to_string(i)),
                              rng.uniform(0.1, 5.0),
                              512 * rng.uniformInt(1, 64)));
     }
@@ -178,7 +178,7 @@ TEST(RecomputeDp, QuantisationStaysFeasibleOnOddSizes)
     Rng rng(5);
     std::vector<UnitProfile> units;
     for (int i = 0; i < 64; ++i) {
-        units.push_back(unit("u" + std::to_string(i),
+        units.push_back(unit(std::string("u").append(std::to_string(i)),
                              rng.uniform(0.1, 2.0),
                              static_cast<Bytes>(
                                  rng.uniformInt(1, 1 << 22)) |

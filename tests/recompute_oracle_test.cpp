@@ -350,9 +350,10 @@ TEST(TriChoiceOracle, DpMatchesBruteForceOnRepresentableInstances)
         for (std::size_t i = 0; i < units.size(); ++i) {
             EXPECT_FALSE(dp.saved[i] && dp.offloaded[i])
                 << "unit " << i << " both saved and offloaded";
-            if (units[i].alwaysSaved)
+            if (units[i].alwaysSaved) {
                 EXPECT_FALSE(dp.offloaded[i])
                     << "always-saved unit " << i << " offloaded";
+            }
         }
         EXPECT_LE(dp.savedBytes, static_cast<Bytes>(budget));
         EXPECT_LE(dp.offloadLinkTime,

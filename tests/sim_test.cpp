@@ -74,7 +74,7 @@ TEST(Sim, NoOverlapOnDevice)
 TEST(Sim, DependenciesRespected)
 {
     const Schedule s = build1F1B(4, 8);
-    const SimOptions opts{0.25};
+    const SimOptions opts{0.25, {}};
     const SimResult r = simulate(s, uniformStages(4, 1.0, 2.0), opts);
     auto find = [&](int pos, int mb, OpKind kind) -> const OpRecord & {
         for (std::size_t i = 0; i < s.ops.size(); ++i) {
@@ -217,8 +217,8 @@ TEST(Sim, P2pDelaysIteration)
     const int p = 4;
     const int n = 8;
     const auto stages = uniformStages(p, 1.0, 2.0);
-    const SimResult fast = simulate(build1F1B(p, n), stages, {0.0});
-    const SimResult slow = simulate(build1F1B(p, n), stages, {0.5});
+    const SimResult fast = simulate(build1F1B(p, n), stages, {0.0, {}});
+    const SimResult slow = simulate(build1F1B(p, n), stages, {0.5, {}});
     EXPECT_GT(slow.iterationTime, fast.iterationTime);
 }
 

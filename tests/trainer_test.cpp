@@ -166,8 +166,9 @@ TEST(Trainer, BigramBatchDeterministic)
     EXPECT_NE(t1, t2);
     for (std::size_t i = 0; i < t1.size(); ++i) {
         for (std::size_t j = 0; j < t2.size(); ++j) {
-            if (t1[i] == t2[j])
+            if (t1[i] == t2[j]) {
                 EXPECT_EQ(y1[i], y2[j]);
+            }
         }
     }
 }
